@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-cold lint-flow lint-proofs contracts bench bench-smoke tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check
+.PHONY: test lint lint-cold lint-flow lint-proofs contracts bench bench-smoke tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check perfbench-test
 
 test: lint       ## the tier-1 suite (~600 unit/integration tests) + contract pass
 	$(PY) -m pytest -x -q
@@ -32,6 +32,9 @@ contracts:       ## the runtime-contract test subset with contracts forced on
 
 docs-check:      ## dead intra-repo markdown links + docs/ reachability from README
 	$(PY) tools/docs_check.py
+
+perfbench-test:  ## the end-to-end benchmark's own tests (perfbench/, see BENCHMARK.json)
+	$(PY) -m pytest perfbench/tests -q
 
 bench-smoke:     ## snapshot refresh + fast-vs-naive cut.decision ledger gate (docs/PERFORMANCE.md)
 	$(PY) -m pytest benchmarks/test_bench_smoke.py -m bench_smoke -q -s

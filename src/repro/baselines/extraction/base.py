@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.core.formfields import find_descriptor_span
+from repro.core.formfields import find_descriptor_span, identify_form_face
 from repro.core.select import Extraction
 from repro.doc import Document
 from repro.doc.document import group_into_lines
 from repro.doc.elements import TextElement
 from repro.geometry import BBox, enclosing_bbox
-from repro.nlp.fuzzy import normalize_for_match, similarity_ratio
-from repro.synth.tax_forms import FormFace, form_faces
+from repro.synth.tax_forms import FormFace
 
 
 @dataclass
@@ -73,19 +72,7 @@ def sentence_units(doc: Document) -> List[TextUnit]:
 def identify_face_from_text(doc: Document) -> Optional[FormFace]:
     """Detect the D1 form face from the transcription's title line."""
     lines = group_into_lines(doc.text_elements)[:6]
-    best: Optional[Tuple[float, FormFace]] = None
-    for line in lines:
-        text = normalize_for_match(" ".join(w.text for w in line))
-        if not text:
-            continue
-        for face in form_faces():
-            title = normalize_for_match(face.title)
-            ratio = similarity_ratio(text[: len(title) + 6], title)
-            if best is None or ratio > best[0]:
-                best = (ratio, face)
-    if best is None or best[0] < 0.6:
-        return None
-    return best[1]
+    return identify_form_face(" ".join(w.text for w in line) for line in lines)
 
 
 def descriptor_extractions(

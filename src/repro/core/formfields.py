@@ -10,10 +10,33 @@ the field value.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
+from repro.datasets import FormFace, form_faces
 from repro.doc.elements import TextElement
 from repro.nlp.fuzzy import normalize_for_match, ocr_fold, similarity_ratio
+
+
+def identify_form_face(lines: Iterable[str]) -> Optional[FormFace]:
+    """Match candidate title lines against the 20 known face titles.
+
+    Each normalised line's head (title length + 6 characters) is scored
+    against every title; the first strictly best (line, face) pair
+    wins, and a best ratio under 0.6 means no face was found.
+    """
+    titles = [(normalize_for_match(face.title), face) for face in form_faces()]
+    best: Optional[Tuple[float, FormFace]] = None
+    for line in lines:
+        text = normalize_for_match(line)
+        if not text:
+            continue
+        for title, face in titles:
+            ratio = similarity_ratio(text[: len(title) + 6], title)
+            if best is None or ratio > best[0]:
+                best = (ratio, face)
+    if best is None or best[0] < 0.6:
+        return None
+    return best[1]
 
 
 def find_descriptor_span(

@@ -28,11 +28,11 @@ from repro.doc.document import group_into_lines
 from repro.doc.layout_tree import LayoutNode
 from repro.embeddings import WordEmbedding, default_embedding
 from repro.geometry import BBox, enclosing_bbox
-from repro.nlp.fuzzy import normalize_for_match, ocr_fold, similarity_ratio
+from repro.nlp.fuzzy import normalize_for_match, ocr_fold
 from repro.nlp.lesk import LeskCandidate, lesk_select
 from repro.nlp.tokenizer import normalize_text
 from repro.analysis.contracts import check_extraction_spans, checked
-from repro.datasets import entity_vocabulary, form_faces
+from repro.datasets import entity_vocabulary
 from repro.instrument import PipelineMetrics
 from repro.resilience.faults import fault_site
 from repro.trace import NULL_TRACER, Tracer
@@ -234,14 +234,16 @@ class VS2Selector:
     def _extract_form_fields(
         self, doc: Document, blocks: Sequence[LayoutNode]
     ) -> List[Extraction]:
-        face = self._identify_face(blocks)
+        from repro.core.formfields import find_descriptor_span, identify_form_face
+
+        # Titles live near the top of the page.
+        face = identify_form_face(block_text(b) for b in blocks[:12])
         if face is None:
             return []
         extractions: List[Extraction] = []
         # A form row block starts with the field's line number; an
         # OCR-folded first-token index prunes the descriptor x block
         # matching from quadratic to near-linear.
-        from repro.core.formfields import find_descriptor_span
         from repro.doc.document import group_into_lines
 
         by_first_token: Dict[str, List[Tuple[LayoutNode, list]]] = {}
@@ -285,20 +287,3 @@ class VS2Selector:
                 )
             )
         return extractions
-
-    def _identify_face(self, blocks: Sequence[LayoutNode]):
-        """Match the form-title block against the 20 known face titles."""
-        faces = form_faces()
-        best: Optional[Tuple[float, object]] = None
-        for block in blocks[:12]:  # titles live near the top of the page
-            text = normalize_for_match(block_text(block))
-            if not text:
-                continue
-            for face in faces:
-                title = normalize_for_match(face.title)
-                ratio = similarity_ratio(text[: len(title) + 6], title)
-                if best is None or ratio > best[0]:
-                    best = (ratio, face)
-        if best is None or best[0] < 0.6:
-            return None
-        return best[1]

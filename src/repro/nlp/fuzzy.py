@@ -3,14 +3,14 @@
 D1's extraction matches field descriptors by exact string comparison
 (§5.2.1) — but the transcription those strings come from is OCR output,
 so "exact" must be read modulo transcription noise.  This module
-provides a banded Levenshtein distance and the prefix-matching test the
-selector uses.
+provides a bit-parallel Levenshtein distance and the prefix-matching
+test the selector uses.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Dict, Optional
 
 
 def normalize_for_match(text: str) -> str:
@@ -21,27 +21,50 @@ def normalize_for_match(text: str) -> str:
 
 
 def edit_distance(a: str, b: str, cutoff: Optional[int] = None) -> int:
-    """Levenshtein distance with an optional early-exit ``cutoff``
-    (returns ``cutoff + 1`` when the distance provably exceeds it)."""
+    """Levenshtein distance, or ``cutoff + 1`` when it exceeds ``cutoff``.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 Levenshtein form): bit
+    ``i`` of ``vp``/``vn`` says whether cell ``i + 1`` of the current DP
+    column is one more/one less than the cell above it.  One column step
+    is a fixed handful of integer operations on those vectors, and the
+    score tracks the bottom cell, so the result is the DP's last cell
+    exactly.  Python ints are unbounded, so the shorter string may be of
+    any length.
+    """
     if a == b:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    if cutoff is not None and len(b) - len(a) > cutoff:
+    m = len(a)
+    if cutoff is not None and len(b) - m > cutoff:
         return cutoff + 1
-    previous = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        current = [j]
-        best = j
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            value = min(previous[i] + 1, current[i - 1] + 1, previous[i - 1] + cost)
-            current.append(value)
-            best = min(best, value)
-        if cutoff is not None and best > cutoff:
-            return cutoff + 1
-        previous = current
-    return previous[-1]
+    dist = len(b)
+    if m:
+        peq: Dict[str, int] = {}  # char -> bitmask of its positions in a
+        bit = 1
+        for ch in a:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        mask = bit - 1
+        last = bit >> 1
+        vp, vn, dist = mask, 0, m
+        match = peq.get
+        for ch in b:
+            x = match(ch, 0) | vn
+            d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+            hp = vn | ((d0 | vp) ^ mask)
+            hn = vp & d0
+            if hp & last:
+                dist += 1
+            elif hn & last:
+                dist -= 1
+            hp = ((hp << 1) | 1) & mask  # top row: D[0][j] - D[0][j-1] = +1
+            hn = (hn << 1) & mask
+            vp = hn | ((d0 | hp) ^ mask)
+            vn = hp & d0
+    if cutoff is not None and dist > cutoff:
+        return cutoff + 1
+    return dist
 
 
 def similarity_ratio(a: str, b: str) -> float:
