@@ -20,9 +20,10 @@ return sub-spans (times, addresses, phones, ...).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.mining import MiningTree, contains_subtree, decode_tree, encode_tree
 from repro.mining.treeminer import FrequentPattern, mine_maximal_subtrees
@@ -119,6 +120,13 @@ def _match_geocode(text: str) -> List[PatternMatch]:
 _PLACE_LEADS = ("venue", "location", "where", "at")
 
 
+@functools.lru_cache(maxsize=None)
+def _sorted_venue_words() -> Tuple[str, ...]:
+    from repro.nlp import gazetteers as gaz
+
+    return tuple(sorted(gaz.VENUE_WORDS))
+
+
 def _match_place(text: str) -> List[PatternMatch]:
     """Event Place: geocoded NPs, with a venue-line fallback.
 
@@ -137,12 +145,14 @@ def _match_place(text: str) -> List[PatternMatch]:
     has_lead = any(edit_distance(first, lead, 1) <= 1 for lead in _PLACE_LEADS)
     ws = set(words(text))
     # Venue words matched modulo one OCR edit ("librory" ≈ "library").
+    # Sorted, not set, order: the short-circuit point (and so the
+    # ``edit_distance`` call count) must not follow PYTHONHASHSEED.
     has_venue_word = bool(ws & gaz.VENUE_WORDS) or any(
         len(w) >= 5 and any(
             abs(len(w) - len(v)) <= 1 and edit_distance(w, v, 1) <= 1
-            for v in gaz.VENUE_WORDS
+            for v in _sorted_venue_words()
         )
-        for w in ws
+        for w in sorted(ws)
     )
     has_digits = any(ch.isdigit() for ch in text)
     if has_venue_word and (has_lead or has_digits):

@@ -492,7 +492,9 @@ class CorpusRunner:
             "corpus", dataset=self.dataset, docs=len(docs)
         ):
             t.items = len(docs)
-            if self.workers <= 1 or len(docs) <= 1:
+            # One document is not worth starting an owned pool for; a
+            # warm pool is already running, so it takes even one.
+            if self.workers <= 1 or (len(docs) <= 1 and self.pool is None):
                 slots, failures = self._run_serial(docs, metrics)
             else:
                 slots, failures, degrade_reason = self._run_parallel(docs, metrics)

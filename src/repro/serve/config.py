@@ -57,10 +57,9 @@ class ServeConfig:
     #: Seconds a caller shed with 429 should wait before retrying.
     retry_after_s: float = 1.0
     #: Micro-batching: at most ``batch_max`` queued requests coalesce
-    #: into one pipeline dispatch; the HTTP dispatcher waits up to
-    #: ``batch_window_s`` for the batch to fill.
+    #: into one pipeline dispatch.  The dispatcher never waits for a
+    #: batch to fill; requests queued while a batch runs form the next.
     batch_max: int = 4
-    batch_window_s: float = 0.05
     #: Attempts per request across batch retries (transient per-doc
     #: failures and whole-batch faults re-enqueue until exhausted).
     max_attempts: int = 2

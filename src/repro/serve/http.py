@@ -93,18 +93,20 @@ class ServeHTTP:
     # Dispatcher
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
+        """Work-conserving dispatch: whenever the engine is free and the
+        queue is not empty, take up to ``batch_max`` requests and run
+        them; arrivals during a batch coalesce into the next one.  This
+        is the policy :func:`repro.serve.loadgen.run_virtual` models."""
         loop = asyncio.get_running_loop()
-        window = self.service.config.batch_window_s
+        assert self._wake is not None
         while True:
             if self.service.pending() == 0:
                 if self.service.draining:
                     return
-                await self._wait_for_work(window)
+                # Set by every admitted request and by ``request_drain``.
+                self._wake.clear()
+                await self._wake.wait()
                 continue
-            if self.service.pending() < self.service.config.batch_max:
-                # Let the micro-batch fill for one window before
-                # dispatching a partial one.
-                await asyncio.sleep(window)
             batch, expired = self.service.take_batch(time.monotonic())
             self._publish(expired)
             if not batch:
@@ -112,14 +114,6 @@ class ServeHTTP:
             outcome = await loop.run_in_executor(None, self.service.run_batch, batch)
             responses = self.service.resolve(batch, outcome, time.monotonic())
             self._publish(responses)
-
-    async def _wait_for_work(self, window: float) -> None:
-        assert self._wake is not None
-        try:
-            await asyncio.wait_for(self._wake.wait(), timeout=max(window, 0.01))
-        except asyncio.TimeoutError:
-            return
-        self._wake.clear()
 
     def _publish(self, responses: List[ServeResponse]) -> None:
         for response in responses:
@@ -286,7 +280,7 @@ async def _serve_main(service: ExtractionService, host: str, port: int) -> int:
     print(
         f"repro serve: listening on {http.host}:{http.port} "
         f"(dataset={service.config.dataset}, workers={service.config.workers}, "
-        f"queue_limit={service.config.queue_limit})",
+        f"queue_limit={service.config.queue_limit}, mode={service.mode})",
         flush=True,
     )
     await http.serve_until_drained()

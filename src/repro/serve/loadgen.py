@@ -91,7 +91,9 @@ def run_virtual(
     empty — jump to the next arrival and admit it — or (b) dispatch the
     next micro-batch at ``max(engine_free, now)``, admitting every
     arrival that lands before dispatch and before batch completion at
-    its true arrival time.
+    its true arrival time.  This is the live server's work-conserving
+    policy (:meth:`repro.serve.http.ServeHTTP._dispatch_loop`): no fill
+    wait, and arrivals during a batch coalesce into the next one.
     """
     service.boot()
     arrivals = arrival_schedule(spec)

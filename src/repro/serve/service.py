@@ -24,12 +24,15 @@ as exactly one of these, nothing lost, nothing hung)::
                                   allow)
 
 The heavy lifting of a batch is one
-:class:`repro.perf.runner.CorpusRunner` call — parallel batches run on
-the shared :class:`~repro.perf.runner.WarmProcessPool` whose workers
-booted the pipeline (embeddings, pattern tables, holdout mining) once
-at server start.  While a stage's circuit breaker is open, batches run
-serially through a cached degraded pipeline variant instead
-(``docs/SERVING.md`` walks through the ladder).
+:class:`repro.perf.runner.CorpusRunner` call.  Every healthy batch,
+even a single document, runs on the shared
+:class:`~repro.perf.runner.WarmProcessPool` whose workers booted the
+pipeline (embeddings, pattern tables, holdout mining) once at server
+start.  While a stage's circuit breaker is open, batches run serially
+in-process through a cached degraded pipeline variant instead
+(``docs/SERVING.md`` walks through the ladder).  The front-ends decide
+*when* a batch runs: both dispatch work-conservingly, taking up to
+``batch_max`` queued requests the moment the engine is free.
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ class ExtractionService:
             "submitted": 0, "ok": 0, "shed": 0, "timeout": 0,
         }
         self.pool: Optional[WarmProcessPool] = None
+        #: How batches run, fixed by :meth:`boot`: ``pool (N workers)``
+        #: or ``in-process (<reason>)``.
+        self.mode = "not booted"
         self._runners: Dict[FrozenSet[str], CorpusRunner] = {}
         self._seq = 0
         self._batch_seq = 0
@@ -172,12 +178,14 @@ class ExtractionService:
         """Pay every warm-up cost now: synthesise nothing further, arm
         the fault plan, and boot the process pool so the first request
         meets already-initialised workers.  Pool boot failure degrades
-        to in-process serving instead of failing the server."""
+        to in-process serving instead of failing the server; either way
+        :attr:`mode` and a ``serve.boot`` trace event say which."""
         if self._booted:
             return self
         if self.fault_plan is not None and not _faults.is_installed():
             _faults.install(self.fault_plan, tracer=self.tracer)
             self._installed_faults = True
+        reason = f"workers={self.config.workers}"
         if self.config.workers > 1:
             pool = WarmProcessPool(
                 self.config.dataset,
@@ -192,8 +200,15 @@ class ExtractionService:
             try:
                 pool.boot()
                 self.pool = pool
-            except (OSError, ValueError):
+            except (OSError, ValueError) as exc:
                 self.pool = None  # CorpusRunner serves serially
+                reason = f"{type(exc).__name__}: {exc}"
+        if self.pool is not None:
+            self.mode = f"pool ({self.pool.workers} workers)"
+            self.tracer.event("serve.boot", mode="pool", workers=self.pool.workers)
+        else:
+            self.mode = f"in-process ({reason})"
+            self.tracer.event("serve.boot", mode="in-process", reason=reason)
         self._booted = True
         return self
 

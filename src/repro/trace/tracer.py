@@ -58,6 +58,7 @@ EVENT_NAMES = frozenset(
         "runner.worker_replace",
         "select.decision",
         "serve.admit",
+        "serve.boot",
         "serve.deadline",
         "serve.drain",
         "serve.shed",

@@ -217,3 +217,46 @@ class TestD1PipelineEquivalence:
         assert all(extractions), "every form must yield form-field extractions"
         assert any(attrs["matched"] for _, attrs in decisions)
         assert fast == reference
+
+
+class TestCallCountIsHashSeedFree:
+    """The number of ``edit_distance`` calls on D2/D3 documents is a
+    fixed count: fuzzy loops iterate sorted sequences, never sets whose
+    order follows ``PYTHONHASHSEED``.  The call count is a benchmark
+    layer metric, so it must not change between processes."""
+
+    SCRIPT = (
+        "import repro.nlp.fuzzy as fuzzy\n"
+        "from repro.core.pipeline import VS2Pipeline\n"
+        "from repro.synth import generate_corpus\n"
+        "calls = [0]\n"
+        "inner = fuzzy.edit_distance\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls[0] += 1\n"
+        "    return inner(*args, **kwargs)\n"
+        "fuzzy.edit_distance = counting\n"
+        "for dataset in ('D2', 'D3'):\n"
+        "    pipeline = VS2Pipeline(dataset, cache=None)\n"
+        "    for doc in generate_corpus(dataset, 4, 0):\n"
+        "        pipeline.run(doc)\n"
+        "print(calls[0])\n"
+    )
+
+    def test_counts_agree_across_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        counts = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            counts.append(int(proc.stdout))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]

@@ -375,6 +375,37 @@ class TestWarmProcessPool:
         # metrics drain per chunk: the second run is not double-counted
         assert first.metrics["select"].calls == second.metrics["select"].calls
 
+    def test_single_document_runs_on_a_warm_worker(self, corpus):
+        from repro.perf import WarmProcessPool
+
+        def processes(outcome):
+            """The ``worker`` labels of the run's resource samples:
+            ``main`` for the calling process, ``pid<N>`` per worker."""
+            return {
+                labels["worker"]
+                for labels, _ in outcome.registry.samples("repro.process.rss_max_bytes")
+            }
+
+        def canon(outcome):
+            return json.dumps(
+                [_extraction_key(r) for r in outcome.results], sort_keys=True, default=float
+            ).encode()
+
+        serial = CorpusRunner("D2", workers=1).run(corpus[:1])
+        owned = CorpusRunner("D2", workers=2).run(corpus[:1])
+        pool = WarmProcessPool("D2", workers=2).boot()
+        try:
+            worker_pids = {f"pid{pid}" for pid in pool.executor()._processes}
+            warm = CorpusRunner("D2", pool=pool).run(corpus[:1])
+        finally:
+            pool.close()
+        # workers=1 and an owned pool still run one document in-process
+        assert processes(serial) == processes(owned) == {"main"}
+        ran_on = processes(warm) - {"main"}
+        assert len(ran_on) == 1 and ran_on <= worker_pids
+        assert not warm.failures
+        assert canon(warm) == canon(serial) == canon(owned)
+
     def test_close_is_idempotent_and_reboots(self):
         from repro.perf import WarmProcessPool
 

@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -22,6 +23,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
+import types
 
 import pytest
 
@@ -38,8 +41,12 @@ from repro.serve import (
     run_virtual,
     write_bench,
 )
+from repro.perf import WarmProcessPool
+from repro.serve import http as serve_http
+from repro.serve import loadgen
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.config import BreakerConfig
+from repro.trace import Tracer, collect_events
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -447,6 +454,132 @@ class TestServeCLI:
 
 
 # ----------------------------------------------------------------------
+# Dispatch policy: the live dispatcher is the one run_virtual models
+# ----------------------------------------------------------------------
+class _GatedService(ExtractionService):
+    """Records every dispatched batch size; a batch blocks in
+    ``run_batch`` until :attr:`release` is set."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.sizes = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def run_batch(self, batch):
+        self.sizes.append(len(batch))
+        self.entered.set()
+        assert self.release.wait(timeout=60), "batch never released"
+        return super().run_batch(batch)
+
+
+#: One lone arrival, then five while its batch is in flight.
+_ARRIVALS = [(0.0, 0)] + [(0.01 * i, i) for i in range(1, 6)]
+
+
+def _dispatch_config() -> ServeConfig:
+    return _config(corpus_n=6, queue_limit=8, batch_max=4, deadline_s=30.0)
+
+
+class TestDispatchPolicy:
+    def test_virtual_batches_for_the_arrival_order(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "arrival_schedule", lambda spec: _ARRIVALS)
+        service = _GatedService(_dispatch_config())
+        service.release.set()
+        _, snapshot = run_virtual(
+            service, LoadSpec(n_requests=len(_ARRIVALS), deadline_s=30.0, doc_service_s=0.25)
+        )
+        assert service.sizes == [1, 4, 1]
+        assert snapshot["ok"] == len(_ARRIVALS)
+
+    def test_live_dispatch_is_work_conserving(self, monkeypatch):
+        """A lone request runs at once (the dispatcher never sleeps),
+        and arrivals during a batch coalesce into the next batches:
+        the same ``[1, 4, 1]`` the virtual clock gives."""
+
+        def no_sleep(delay, *args, **kwargs):
+            raise AssertionError(f"the dispatcher slept {delay} s")
+
+        patched = types.ModuleType("asyncio")
+        patched.__dict__.update(vars(asyncio))
+        patched.sleep = no_sleep
+        monkeypatch.setattr(serve_http, "asyncio", patched)
+        service = _GatedService(_dispatch_config()).boot()
+
+        async def scenario():
+            server = serve_http.ServeHTTP(service)
+            await server.start()
+
+            async def until(condition):
+                for _ in range(1000):
+                    if condition():
+                        return
+                    if server._dispatcher.done():
+                        server._dispatcher.result()  # surface its failure
+                        raise AssertionError("the dispatcher exited")
+                    await asyncio.sleep(0.01)
+                raise AssertionError("timed out")
+
+            def extract(index):
+                body = json.dumps({"index": index}).encode()
+                return asyncio.ensure_future(server._route("POST", "/extract", body))
+
+            first = extract(_ARRIVALS[0][1])
+            await until(service.entered.is_set)
+            rest = [extract(index) for _, index in _ARRIVALS[1:]]
+            await until(lambda: service.pending() == len(rest))
+            service.release.set()
+            answers = await asyncio.wait_for(asyncio.gather(first, *rest), timeout=60)
+            server.request_drain()
+            await asyncio.wait_for(server.serve_until_drained(), timeout=30)
+            return [status for status, _, _ in answers]
+
+        try:
+            statuses = asyncio.run(scenario())
+        finally:
+            service.release.set()
+            snapshot = service.finish_drain(0.0)
+        assert statuses == [200] * len(_ARRIVALS)
+        assert service.sizes == [1, 4, 1]
+        assert snapshot["unaccounted"] == 0
+
+
+class TestBootMode:
+    def test_in_process_config_names_its_mode(self):
+        service = _service().boot()
+        assert service.mode == "in-process (workers=1)"
+        service.shutdown()
+
+    def test_failed_pool_boot_is_visible(self, monkeypatch):
+        def refuse(pool):
+            raise OSError("no process support")
+
+        monkeypatch.setattr(WarmProcessPool, "boot", refuse)
+        tracer = Tracer()
+        service = ExtractionService(_config(workers=2), tracer=tracer).boot()
+        try:
+            assert service.pool is None
+            assert service.mode == "in-process (OSError: no process support)"
+            events = collect_events(tracer.drain(), "serve.boot")
+            assert [e.attrs for _, e in events] == [
+                {"mode": "in-process", "reason": "OSError: no process support"}
+            ]
+        finally:
+            service.shutdown()
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+    def test_pool_boot_names_its_width(self):
+        tracer = Tracer()
+        service = ExtractionService(_config(workers=2), tracer=tracer).boot()
+        try:
+            assert service.mode == "pool (2 workers)"
+            events = collect_events(tracer.drain(), "serve.boot")
+            assert [e.attrs for _, e in events] == [{"mode": "pool", "workers": 2}]
+        finally:
+            service.shutdown()
+
+
+# ----------------------------------------------------------------------
 # End to end: real server, real sockets, SIGTERM drain
 # ----------------------------------------------------------------------
 @pytest.mark.serve_smoke
@@ -466,6 +599,7 @@ class TestServeHTTP:
         line = proc.stdout.readline()
         match = re.search(r"listening on [\d.]+:(\d+)", line)
         assert match, f"unexpected boot line: {line!r}"
+        assert "mode=pool (2 workers)" in line, line
         return proc, int(match.group(1))
 
     def _get(self, port, path):
