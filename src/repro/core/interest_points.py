@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.doc.layout_tree import LayoutNode
-from repro.embeddings import WordEmbedding, default_embedding
+from repro.embeddings import WordEmbedding, cosine_matrix, default_embedding
 from repro.optimize import pareto_front
 from repro.trace import Tracer
 
@@ -46,18 +46,13 @@ def semantic_coherence(block: LayoutNode, embedding: WordEmbedding) -> float:
     texts = [a.text for a in block.text_atoms][:40]
     if len(texts) < 2:
         return 0.0
-    vectors = [embedding.embed(t) for t in texts]
-    # Norms hoisted out of the O(n²) pair loop; the inlined expression
-    # mirrors cosine_similarity exactly (same dot, same guards), so the
-    # sum is bitwise identical to the per-pair calls.
-    norms = [float(np.linalg.norm(v)) for v in vectors]
+    sims = cosine_matrix([embedding.embed(t) for t in texts])
+    # Sequential sum of the upper triangle in row-major order, the order
+    # the per-pair loop added in (np.sum's pairwise order would differ
+    # in the last bits).  Zero-norm pairs are 0.0 and add nothing.
     total = 0.0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            na, nb = norms[i], norms[j]
-            if na == 0.0 or nb == 0.0:
-                continue
-            total += float(np.dot(vectors[i], vectors[j]) / (na * nb))
+    for value in sims[np.triu_indices(len(texts), 1)].tolist():
+        total += value
     return total
 
 

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.core.config import SegmentConfig
 from repro.doc.layout_tree import LayoutNode, LayoutTree
-from repro.embeddings import WordEmbedding, cosine_similarity, default_embedding
+from repro.embeddings import (
+    WordEmbedding,
+    cosine_matrix,
+    cosine_similarity,
+    default_embedding,
+)
 from repro.geometry import enclosing_bbox
 from repro.resilience.faults import fault_site
 from repro.trace import Tracer
@@ -46,12 +51,12 @@ def node_vector(node: LayoutNode, embedding: WordEmbedding, cache: Dict[int, np.
 
 
 def semantic_contribution(
-    node: LayoutNode,
-    level_nodes: List[LayoutNode],
-    embedding: WordEmbedding,
-    cache: Dict[int, np.ndarray],
+    node: LayoutNode, level_nodes: List[LayoutNode], sims: np.ndarray
 ) -> float:
     """Eq. 1 for ``node`` against its level of the tree.
+
+    ``sims`` is ``node``'s row of the level's cosine matrix:
+    ``sims[k] = cos(node, level_nodes[k])``.
 
     The printed equation sums cosine similarities; raw sums scale with
     the sibling count, so a literal reading lets SC cross any fixed
@@ -60,24 +65,22 @@ def semantic_contribution(
     scale-invariant interpretation under which the θ ∈ [0, 1] schedule
     of the footnote is meaningful.
     """
-    v = node_vector(node, embedding, cache)
     siblings = set(id(s) for s in node.siblings())
-    sibling_sims: List[float] = []
-    other_sims: List[float] = []
-    for other in level_nodes:
+    sibling_idx: List[int] = []
+    other_idx: List[int] = []
+    for k, other in enumerate(level_nodes):
         if other is node:
             continue
-        sim = cosine_similarity(v, node_vector(other, embedding, cache))
         if id(other) in siblings:
-            sibling_sims.append(sim)
+            sibling_idx.append(k)
         else:
-            other_sims.append(sim)
+            other_idx.append(k)
     # The sibling term uses the *best* sibling (the merge partner the
     # next step would pick); the non-sibling term stays an average.  A
     # literal mean over heterogeneous siblings would let unrelated
     # siblings veto a clearly co-fragmented pair.
-    best_sib = float(np.max(sibling_sims)) if sibling_sims else 0.0
-    mean_other = float(np.mean(other_sims)) if other_sims else 0.0
+    best_sib = float(np.max(sims[sibling_idx])) if sibling_idx else 0.0
+    mean_other = float(np.mean(sims[other_idx])) if other_idx else 0.0
     return best_sib - mean_other
 
 
@@ -149,6 +152,13 @@ def semantic_merge(
         for level in range(height, 0, -1):
             level_nodes = tree.nodes_at_level(level)
             textual = [n for n in level_nodes if n.text_atoms]
+            # Eq. 1 reads this level snapshot for the whole walk, so it
+            # keeps nodes an earlier merge on the level consumed (they
+            # count as non-siblings).  That is the reference behaviour;
+            # dropping them would change which nodes merge.  Its cosine
+            # matrix is built at the first Eq. 1 evaluation on the level.
+            position = {id(n): k for k, n in enumerate(textual)}
+            level_sims: Optional[np.ndarray] = None
             for node in list(textual):
                 if node.parent is None or not any(c is node for c in node.parent.children):
                     continue  # already consumed by a merge
@@ -162,7 +172,12 @@ def semantic_merge(
                 siblings = [s for s in node.siblings() if s.is_leaf and s.text_atoms]
                 if not siblings:
                     continue
-                sc = semantic_contribution(node, textual, embedding, cache)
+                if level_sims is None:
+                    level_sims = cosine_matrix(
+                        [node_vector(n, embedding, cache) for n in textual]
+                    )
+                sims = level_sims[position[id(node)]]
+                sc = semantic_contribution(node, textual, sims)
                 if sc <= theta:
                     if tracing:
                         tracer.event(
@@ -179,14 +194,20 @@ def semantic_merge(
                         )
                     continue
                 v = node_vector(node, embedding, cache)
-                candidates = sorted(
-                    siblings,
-                    key=lambda s: -cosine_similarity(v, node_vector(s, embedding, cache)),
+                # A node merged earlier on this level is not in the
+                # snapshot; its cosine comes from the scalar function.
+                ranked = sorted(
+                    [
+                        (float(sims[position[id(s)]]), s)
+                        if id(s) in position
+                        else (cosine_similarity(v, node_vector(s, embedding, cache)), s)
+                        for s in siblings
+                    ],
+                    key=lambda pair: -pair[0],
                 )
                 chosen = None
                 best_sim = None
-                for partner in candidates:
-                    sim = cosine_similarity(v, node_vector(partner, embedding, cache))
+                for sim, partner in ranked:
                     if best_sim is None:
                         best_sim = sim
                     # The θ schedule gates the *contribution*; the pair

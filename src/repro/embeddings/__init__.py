@@ -21,6 +21,7 @@ from repro.embeddings.vectors import (
     HashEmbedding,
     TopicEmbedding,
     WordEmbedding,
+    cosine_matrix,
     cosine_similarity,
     default_embedding,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "HashEmbedding",
     "TopicEmbedding",
     "WordEmbedding",
+    "cosine_matrix",
     "cosine_similarity",
     "default_embedding",
     "SvdEmbedding",

@@ -32,6 +32,31 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def cosine_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """All pairwise cosines: entry ``(i, j)`` is bit-for-bit
+    ``cosine_similarity(vectors[i], vectors[j])``.
+
+    Exactness rests on doing the scalar function's arithmetic in the
+    same order: one ``np.linalg.norm`` per vector, each dot through
+    ``np.vecdot`` (the BLAS ``ddot`` that ``np.dot`` runs on two 1-D
+    arrays, once per broadcast row pair), then ``dot / (na * nb)``.
+    ``V @ V.T`` and ``einsum`` sum in another order and differ in the
+    last ulp; pairs with a zero-norm side are 0.0 as in the scalar guard.
+    """
+    n = len(vectors)
+    if n == 0:
+        return np.zeros((0, 0))
+    mat = np.asarray(vectors, dtype=float)
+    norms = np.array([float(np.linalg.norm(v)) for v in mat])
+    dots = np.vecdot(mat[:, None, :], mat[None, :, :])
+    with np.errstate(all="ignore"):
+        sims = dots / np.multiply.outer(norms, norms)
+    zero = norms == 0.0
+    sims[zero, :] = 0.0
+    sims[:, zero] = 0.0
+    return sims
+
+
 @lru_cache(maxsize=65536)
 def _stable_unit_vector(key: str, dim: int) -> np.ndarray:
     """A deterministic pseudo-random unit vector for ``key``.

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,10 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
         raise ValueError("paired series must have equal length")
     if len(a) < 2:
         raise ValueError("need at least two paired observations")
+    # Imported here: scipy.stats costs ~0.85 s of import time, which
+    # would otherwise land on every `import repro.harness`.
+    from scipy import stats
+
     diffs = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if np.allclose(diffs.std(), 0.0):
         return TTestResult(0.0, 1.0, float(diffs.mean()))

@@ -55,6 +55,22 @@ def test_ledger_lines_are_canonical_json():
         assert line == json.dumps(row, sort_keys=True)
 
 
+def test_event_family_ledger_carries_event_names():
+    tracer = _traced_decisions()
+    with tracer.span("doc", index=1, doc_id="X-1"):
+        tracer.event("merge.pass", merges=0)
+    roots = tracer.drain()
+    # The default is unchanged: cut.decision rows, no event key.
+    assert ledger_lines(roots) == ledger_lines(roots, "cut.decision")
+    assert all("event" not in json.loads(line) for line in ledger_lines(roots))
+    rows = [json.loads(line) for line in ledger_lines(roots, "merge.")]
+    assert [(r["span"], r["event"]) for r in rows] == [
+        ("doc[0]/segment", "merge.decision"),
+        ("doc[1]", "merge.pass"),
+    ]
+    assert cut_ledger(roots, "merge.pass") == [("doc[1]", {"merges": 0})]
+
+
 def test_ledger_diff_empty_on_identical_and_names_divergence():
     lines = ledger_lines(_traced_decisions().drain())
     assert ledger_diff(lines, list(lines)) == []

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.embeddings import (
     HashEmbedding,
     TopicEmbedding,
     WordEmbedding,
+    cosine_matrix,
     cosine_similarity,
     default_embedding,
     train_svd_embedding,
@@ -23,6 +25,63 @@ class TestCosine:
     def test_identical(self):
         v = np.array([1.0, 2.0, 3.0])
         assert cosine_similarity(v, v) == pytest.approx(1.0)
+
+
+@st.composite
+def _vector_sets(draw):
+    """0–12 vectors of one dimension, each scaled by 10**e for e in
+    [-150, 150]; some are zero vectors and some repeat an earlier row."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    dim = draw(st.integers(min_value=1, max_value=70))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append(np.zeros(dim))
+        elif kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))].copy())
+        else:
+            scale = 10.0 ** draw(st.integers(min_value=-150, max_value=150))
+            rows.append(np.array(draw(st.lists(unit, min_size=dim, max_size=dim))) * scale)
+    return rows
+
+
+class TestCosineMatrix:
+    """``cosine_matrix`` must be bit-for-bit the scalar ``cosine_similarity``
+    on every pair: Eq. 1 in semantic merging and the Pareto coherence
+    objective read it in place of the per-pair calls."""
+
+    @staticmethod
+    def _assert_matches_scalar(rows):
+        sims = cosine_matrix(rows)
+        assert sims.shape == (len(rows), len(rows))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                assert float(sims[i, j]).hex() == cosine_similarity(a, b).hex(), (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vector_sets())
+    def test_entries_equal_scalar_cosine(self, rows):
+        self._assert_matches_scalar(rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_sizes(self, n):
+        rng = np.random.default_rng(n)
+        self._assert_matches_scalar([rng.standard_normal(64) for _ in range(n)])
+
+    def test_zero_and_duplicate_rows(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(64)
+        rows = [np.zeros(64), v, v.copy(), 1e-150 * v, 1e150 * v, np.zeros(64)]
+        self._assert_matches_scalar(rows)
+        sims = cosine_matrix(rows)
+        assert not sims[0].any() and not sims[:, 5].any()
+
+    def test_embedding_vectors(self):
+        emb = default_embedding()
+        words = ["concert", "Tuesday", "avenue", "1040", "", "Main", "schedule", "the"]
+        self._assert_matches_scalar([emb.embed_text(w) for w in words])
 
 
 class TestHashEmbedding:

@@ -87,6 +87,56 @@ class TestCoreFeatureExtras:
         assert value <= 40 * 39 / 2  # capped word count
 
 
+def _reference_semantic_coherence(block, embedding):
+    """The per-pair loop ``semantic_coherence`` used before the cosine
+    matrix: norms hoisted, zero-norm pairs skipped, sequential sum."""
+    texts = [a.text for a in block.text_atoms][:40]
+    if len(texts) < 2:
+        return 0.0
+    vectors = [embedding.embed(t) for t in texts]
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    total = 0.0
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            na, nb = norms[i], norms[j]
+            if na == 0.0 or nb == 0.0:
+                continue
+            total += float(np.dot(vectors[i], vectors[j]) / (na * nb))
+    return total
+
+
+class _ScaledEmbedding:
+    """Default word vectors at varied magnitudes; words starting with a
+    digit map to the zero vector."""
+
+    def __init__(self):
+        self._base = default_embedding()
+
+    def embed(self, text):
+        if text[:1].isdigit():
+            return np.zeros(self._base.dim)
+        return self._base.embed(text) * (1.0 + len(text) * 1e3)
+
+
+class TestSemanticCoherenceExact:
+    """The cosine-matrix coherence is bit-for-bit the old per-pair sum."""
+
+    VOCAB = ["concert", "Tuesday", "avenue", "Main", "schedule", "tickets", "jazz",
+             "the", "7pm", "1040", "Columbus", "garden", "free", "admission"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("embedding", [default_embedding(), _ScaledEmbedding()],
+                             ids=["default", "scaled-with-zeros"])
+    def test_matches_per_pair_loop(self, seed, embedding):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 50))
+        words = [word(self.VOCAB[int(k)], i * 50, 0)
+                 for i, k in enumerate(rng.integers(0, len(self.VOCAB), n))]
+        node = LayoutNode(BBox(0, 0, 3000, 12), words)
+        got = semantic_coherence(node, embedding)
+        assert got.hex() == _reference_semantic_coherence(node, embedding).hex()
+
+
 class TestParseHelpers:
     def test_parse_chunks_returns_chunk_trees(self):
         chunks = parse_chunks("Hosted by John Smith")

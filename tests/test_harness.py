@@ -134,3 +134,23 @@ class TestFigures:
         assert "logical blocks" in fig.body
         assert "layout tree" in fig.body
         assert "interest point" in fig.body or "interest points" in fig.notes[0]
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """`repro bench`/`table` start by importing the harness; scipy.stats
+        (~0.85 s of import time) loads only when a t-test runs."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.harness; print('scipy.stats' in sys.modules)"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
